@@ -135,9 +135,46 @@ def _build_cart_antenna_fault() -> Tuple[Any, List[Any], Any]:
     return sim, carriers, plan
 
 
+def _build_walk_two_subjects() -> Tuple[Any, List[Any], Any]:
+    from ..world.humans import HumanTagPlacement
+    from ..world.portal import single_antenna_portal
+    from ..world.scenarios.human_tracking import _make_simulator, build_walk
+
+    sim = _make_simulator(single_antenna_portal())
+    carrier, _ = build_walk(
+        2, [HumanTagPlacement.FRONT, HumanTagPlacement.BACK]
+    )
+    return sim, [carrier], None
+
+
+def _build_walk_dual_reader() -> Tuple[Any, List[Any], Any]:
+    from ..world.humans import HumanTagPlacement
+    from ..world.portal import dual_reader_portal
+    from ..world.scenarios.human_tracking import _make_simulator, build_walk
+
+    sim = _make_simulator(dual_reader_portal(dense_reader_mode=False))
+    carrier, _ = build_walk(1, [HumanTagPlacement.FRONT])
+    return sim, [carrier], None
+
+
+def _build_walk_failover_crash() -> Tuple[Any, List[Any], Any]:
+    from ..faults.plan import FaultPlan, ReaderCrash
+    from ..world.humans import HumanTagPlacement
+    from ..world.portal import failover_portal
+    from ..world.scenarios.human_tracking import _make_simulator, build_walk
+
+    sim = _make_simulator(failover_portal())
+    carrier, _ = build_walk(1, [HumanTagPlacement.FRONT])
+    duration = carrier.motion.duration_s
+    plan = FaultPlan(crashes=(ReaderCrash("reader-0", 0.05 * duration, None),))
+    return sim, [carrier], plan
+
+
 #: The pinned scenario families, one per experiment axis: baseline
-#: object cart, tag redundancy, human tracking, the Figure 2 tag plane,
-#: a collision-saturated protocol trace, and a faulted pass.
+#: object cart, tag redundancy, human tracking (one subject, two
+#: subjects whose torsos reflect), the Figure 2 tag plane, a
+#: collision-saturated protocol trace, a faulted pass, the Section 4
+#: interfering reader pair, and the RF-mux takeover after a crash.
 GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
     "cart-front": GoldenScenario(
         "cart-front",
@@ -170,6 +207,21 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         "Box cart with the antenna going silent at t=1s",
         _build_cart_antenna_fault,
         trials=1,
+    ),
+    "walk-two-subjects": GoldenScenario(
+        "walk-two-subjects",
+        "Table 2 two subjects abreast, front+back tags, single antenna",
+        _build_walk_two_subjects,
+    ),
+    "walk-dual-reader": GoldenScenario(
+        "walk-dual-reader",
+        "Walking subject past two readers without dense-reader mode",
+        _build_walk_dual_reader,
+    ),
+    "walk-failover-crash": GoldenScenario(
+        "walk-failover-crash",
+        "Walking subject past the failover pair, primary crashes early",
+        _build_walk_failover_crash,
     ),
 }
 
