@@ -153,7 +153,7 @@ def test_perf_full_pass(benchmark):
     assert result.duration_s > 0
 
 
-def _cart_pass_fixture(use_link_cache):
+def _cart_pass_fixture():
     """A 12-box cart pass — the workload the per-pass cache targets."""
     from repro.world.objects import BoxFace
     from repro.world.scenarios.object_tracking import build_box_cart
@@ -162,29 +162,15 @@ def _cart_pass_fixture(use_link_cache):
         portal=single_antenna_portal(),
         env=SETUP.env,
         params=SETUP.params,
-        use_link_cache=use_link_cache,
     )
     carrier, _ = build_box_cart([BoxFace.FRONT])
     return simulator, carrier
 
 
 @pytest.mark.benchmark(group="perf")
-def test_perf_cart_pass_cached(benchmark):
-    """The Table 1 cart pass with the per-pass link cache enabled."""
-    simulator, carrier = _cart_pass_fixture(True)
-    seeds = SeedSequence(1)
-    result = benchmark.pedantic(
-        lambda: simulator.run_pass([carrier], seeds, 0),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.duration_s > 0
-
-
-@pytest.mark.benchmark(group="perf")
-def test_perf_cart_pass_uncached(benchmark):
-    """The same cart pass with the cache disabled (legacy hot path)."""
-    simulator, carrier = _cart_pass_fixture(False)
+def test_perf_cart_pass(benchmark):
+    """The Table 1 cart pass through the per-pass link cache."""
+    simulator, carrier = _cart_pass_fixture()
     seeds = SeedSequence(1)
     result = benchmark.pedantic(
         lambda: simulator.run_pass([carrier], seeds, 0),
@@ -202,7 +188,7 @@ def test_perf_parallel_engine_dispatch(benchmark):
     number covers pickling, pool spawn, and result gathering — the
     fixed cost a parallel run must amortise.
     """
-    simulator, carrier = _cart_pass_fixture(True)
+    simulator, carrier = _cart_pass_fixture()
     task = PassTrialTask(simulator=simulator, carriers=(carrier,))
     result = benchmark.pedantic(
         lambda: run_trials("bench:dispatch", task, 2, seed=1, workers=2),

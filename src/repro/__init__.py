@@ -5,7 +5,7 @@ A physics-grounded passive-UHF RFID reliability simulator plus the
 paper's redundancy analysis:
 
 * :mod:`repro.rf` — propagation, antennas, materials, link budgets;
-* :mod:`repro.sim` — deterministic discrete-event substrate;
+* :mod:`repro.sim` — events, named seeded RNG streams, traces;
 * :mod:`repro.protocol` — EPC Gen 2 inventory and baselines;
 * :mod:`repro.world` — tags, boxes, humans, portals, pass simulation;
 * :mod:`repro.reader` — wire format, middleware, back-end;

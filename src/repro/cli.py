@@ -558,18 +558,20 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .core.bench import run_benchmark, summarise, write_benchmark
+    from .core import bench
 
-    doc = run_benchmark(
+    doc = bench.run_benchmark(
         workers=args.workers, quick=args.quick, seed=args.seed
     )
-    path = write_benchmark(doc, args.output)
+    path = bench.write_benchmark(doc, args.output)
     payload = {"command": "bench", "output": path, **doc}
-    text = f"{summarise(doc)}\nwrote {path}"
+    text = f"{bench.summarise(doc)}\nwrote {path}"
     _finish(args, payload, text)
-    if not doc["workload"]["parity"]:
+    failed = bench.failed_parity_flags(doc)
+    if failed:
         print(
-            "error: parallel outcomes differ from serial", file=sys.stderr
+            "error: bench parity flags false: " + ", ".join(failed),
+            file=sys.stderr,
         )
         return 1
     return 0

@@ -2,15 +2,17 @@
 
 The ROADMAP's north star is a simulator that runs "as fast as the
 hardware allows"; this module is how that is *tracked* rather than
-assumed. One invocation measures the hot paths (link-budget
-evaluation, the per-pass cache, the read-range search) and a
-representative repeat-the-pass workload in serial and parallel, then
-writes everything to a machine-readable ``BENCH_<date>.json`` so the
-perf trajectory survives across PRs.
+assumed. One invocation measures the read-range search, the
+observability overhead and a representative repeat-the-pass workload
+in serial and parallel, then writes everything to a machine-readable
+``BENCH_<date>.json`` so the perf trajectory survives across PRs.
+Per-layer timing inside real passes is measured by ``perfbench/``.
 
-The workload numbers double as a determinism check: the parallel run
-must reproduce the serial outcomes bit-for-bit (``workload.parity``),
-which is the contract :mod:`repro.core.parallel` is built on.
+Each stage also carries a parity flag (:data:`PARITY_FLAGS`): the
+parallel run must reproduce the serial outcomes bit-for-bit, recording
+must not perturb a trace, and the fast read-range search must give the
+linear scan's answer. ``python -m repro bench`` exits 1 when any is
+false.
 """
 
 from __future__ import annotations
@@ -21,25 +23,26 @@ import os
 import platform
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..rf.link import (
     LinkEnvironment,
-    _boresight_geometry,
     _linear_scan_read_range_m,
-    compose_link,
-    compute_link_terms,
-    evaluate_link,
     free_space_read_range_m,
 )
 from ..sim.rng import SeedSequence
 from .experiment import DEFAULT_SEED, run_trials
 
-#: Workload sizes: (trials, link evaluations) per mode.
+#: Workload trials per mode.
 _FULL_TRIALS = 16
 _QUICK_TRIALS = 4
-_FULL_LINK_EVALS = 2000
-_QUICK_LINK_EVALS = 200
+
+#: Key paths of the boolean parity flags in a bench document.
+PARITY_FLAGS: Tuple[Tuple[str, ...], ...] = (
+    ("hot_paths", "read_range_search", "answers_equal"),
+    ("hot_paths", "obs_overhead", "bit_identical"),
+    ("workload", "parity"),
+)
 
 
 def _time(fn, iterations: int) -> float:
@@ -50,49 +53,8 @@ def _time(fn, iterations: int) -> float:
     return time.perf_counter() - start
 
 
-def _bench_link_budget(link_evals: int) -> Dict[str, Any]:
-    """Hot path 1: full link evaluation vs cached-terms composition."""
-    env = LinkEnvironment()
-    geometry = _boresight_geometry(2.5)
-    full_s = _time(
-        lambda: evaluate_link(
-            env,
-            30.0,
-            geometry,
-            obstruction_loss_db=5.0,
-            tag_detuning_db=3.0,
-            shadowing_db=-1.5,
-            fading_power_gain=0.8,
-        ),
-        link_evals,
-    )
-    terms = compute_link_terms(env, geometry)
-    cached_s = _time(
-        lambda: compose_link(
-            env,
-            30.0,
-            terms,
-            obstruction_loss_db=5.0,
-            tag_detuning_db=3.0,
-            shadowing_db=-1.5,
-            fading_power_gain=0.8,
-        ),
-        link_evals,
-    )
-    return {
-        "iterations": link_evals,
-        "evaluate_link_s": full_s,
-        "evaluate_link_per_sec": link_evals / full_s if full_s > 0 else None,
-        "compose_cached_terms_s": cached_s,
-        "compose_cached_terms_per_sec": (
-            link_evals / cached_s if cached_s > 0 else None
-        ),
-        "terms_cache_speedup": full_s / cached_s if cached_s > 0 else None,
-    }
-
-
 def _bench_read_range(quick: bool) -> Dict[str, Any]:
-    """Hot path 2: envelope-bisect search vs the legacy linear scan."""
+    """Envelope-bisect read-range search vs the legacy linear scan."""
     env = LinkEnvironment()
     step = 0.05 if quick else 0.01
     fast_s = _time(lambda: free_space_read_range_m(env, 30.0, step_m=step), 3)
@@ -120,37 +82,6 @@ def _workload_task():
     sim = _make_simulator(single_antenna_portal())
     carrier, _ = build_box_cart([BoxFace.FRONT])
     return sim, PassTrialTask(simulator=sim, carriers=(carrier,))
-
-
-def _bench_pass_cache(trials: int, seed: int) -> Dict[str, Any]:
-    """Hot path 3: the per-pass link cache, on vs off (serial)."""
-    sim, task = _workload_task()
-    seeds = SeedSequence(seed)
-
-    sim.use_link_cache = True
-    start = time.perf_counter()
-    cached = [task(seeds, i) for i in range(trials)]
-    cached_s = time.perf_counter() - start
-    cache_stats = sim._last_cache_stats
-
-    sim.use_link_cache = False
-    start = time.perf_counter()
-    uncached = [task(seeds, i) for i in range(trials)]
-    uncached_s = time.perf_counter() - start
-    sim.use_link_cache = True
-
-    return {
-        "passes": trials,
-        "cached_s": cached_s,
-        "cached_passes_per_sec": trials / cached_s if cached_s > 0 else None,
-        "uncached_s": uncached_s,
-        "uncached_passes_per_sec": (
-            trials / uncached_s if uncached_s > 0 else None
-        ),
-        "cache_speedup": uncached_s / cached_s if cached_s > 0 else None,
-        "bit_identical": cached == uncached,
-        "last_pass_cache_stats": cache_stats,
-    }
 
 
 def _bench_workload(
@@ -256,7 +187,6 @@ def run_benchmark(
         workers = min(4, os.cpu_count() or 1)
     workers = max(1, workers)
     trials = _QUICK_TRIALS if quick else _FULL_TRIALS
-    link_evals = _QUICK_LINK_EVALS if quick else _FULL_LINK_EVALS
 
     stages: List[str] = []
 
@@ -264,12 +194,8 @@ def run_benchmark(
         stages.append(name)
         print(f"bench: {name} ...", flush=True)
 
-    _stage("link-budget microbench")
-    link = _bench_link_budget(link_evals)
     _stage("read-range search")
     read_range = _bench_read_range(quick)
-    _stage("pass cache on/off")
-    pass_cache = _bench_pass_cache(max(2, trials // 4), seed)
     _stage("observability overhead")
     obs_overhead = _bench_obs_overhead(max(2, trials // 4), seed)
     _stage(f"workload serial vs {workers}-worker")
@@ -287,9 +213,7 @@ def run_benchmark(
             "stages": stages,
         },
         "hot_paths": {
-            "link_budget": link,
             "read_range_search": read_range,
-            "pass_cache": pass_cache,
             "obs_overhead": obs_overhead,
         },
         "workload": workload,
@@ -313,7 +237,6 @@ def write_benchmark(doc: Dict[str, Any], path: Optional[str] = None) -> str:
 def summarise(doc: Dict[str, Any]) -> str:
     """A human-readable recap of the numbers that matter."""
     wl = doc["workload"]
-    pc = doc["hot_paths"]["pass_cache"]
     lines = [
         f"serial:   {wl['serial']['passes_per_sec']:.2f} passes/s",
         (
@@ -321,10 +244,6 @@ def summarise(doc: Dict[str, Any]) -> str:
             f"({wl['parallel']['workers']} workers, "
             f"speedup {wl['speedup']:.2f}x, "
             f"parity={'OK' if wl['parity'] else 'FAIL'})"
-        ),
-        (
-            f"link cache: {pc['cache_speedup']:.2f}x over uncached "
-            f"(bit-identical={'OK' if pc['bit_identical'] else 'FAIL'})"
         ),
         (
             f"trial time: p50 {wl['serial']['trial_times']['p50_s'] * 1e3:.1f} ms, "
@@ -346,3 +265,15 @@ def summarise(doc: Dict[str, Any]) -> str:
         ),
     ]
     return "\n".join(lines)
+
+
+def failed_parity_flags(doc: Dict[str, Any]) -> List[str]:
+    """Dotted names of the :data:`PARITY_FLAGS` that are not true."""
+    failed: List[str] = []
+    for path in PARITY_FLAGS:
+        value: Any = doc
+        for key in path:
+            value = value[key]
+        if value is not True:
+            failed.append(".".join(path))
+    return failed

@@ -80,8 +80,8 @@ class PassObservation:
     """Everything a recorded pass observed, ready to pickle.
 
     Deterministic by construction: no wall-clock values, only functions
-    of the seeds — so parity checks (serial vs parallel, cached vs
-    uncached) hold with recording enabled too.
+    of the seeds — so parity checks (serial vs parallel, recorded vs
+    unrecorded) hold with recording enabled too.
     """
 
     trial: int

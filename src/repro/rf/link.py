@@ -92,7 +92,7 @@ class LinkTerms:
     computes these once per distinct geometry and replays them through
     :func:`compose_link` for every read attempt sharing that geometry;
     :func:`evaluate_link` is exactly ``compose_link(compute_link_terms)``,
-    so cached and uncached evaluations are bit-identical.
+    so a replayed evaluation is bit-identical to a fresh one.
     """
 
     reader_gain_dbi: float

@@ -1,14 +1,10 @@
-"""Deterministic discrete-event simulation substrate."""
+"""Deterministic simulation substrate: events, seeded RNG streams, traces."""
 
-from .engine import Engine, SimulationError
-from .events import ScheduledEvent, SlotOutcome, TagReadEvent
+from .events import SlotOutcome, TagReadEvent
 from .rng import RandomStream, SeedSequence
 from .trace import ReadTrace
 
 __all__ = [
-    "Engine",
-    "SimulationError",
-    "ScheduledEvent",
     "SlotOutcome",
     "TagReadEvent",
     "RandomStream",

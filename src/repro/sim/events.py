@@ -1,42 +1,14 @@
-"""Event types for the discrete-event core.
+"""Timestamped simulation events.
 
-The engine itself (:mod:`repro.sim.engine`) is agnostic to payloads; the
-classes here give the protocol and reader layers a shared vocabulary of
-timestamped happenings so traces can be analysed uniformly.
+The classes here give the protocol and reader layers a shared
+vocabulary of timestamped happenings so traces can be analysed
+uniformly.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
-
-#: Monotonic tie-breaker so simultaneous events pop in scheduling order.
-_EVENT_COUNTER = itertools.count()
-
-
-@dataclass(order=True)
-class ScheduledEvent:
-    """An entry in the engine's priority queue.
-
-    Ordering is by time, then by insertion order, which makes runs
-    deterministic even when many events share a timestamp.
-    """
-
-    time: float
-    sequence: int = field(compare=True)
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark this event so the engine skips it when popped."""
-        self.cancelled = True
-
-
-def next_sequence() -> int:
-    """Hand out the global tie-break counter value."""
-    return next(_EVENT_COUNTER)
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)

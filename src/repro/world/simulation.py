@@ -68,7 +68,6 @@ from ..rf.link import (
     LinkTerms,
     compose_link,
     compute_link_terms,
-    evaluate_link,
 )
 from ..rf.materials import Material
 from ..sim.events import TagReadEvent
@@ -104,20 +103,19 @@ class PassLinkCache:
       positions are used (not quantized), so a hit replays terms that
       are *bit-identical* to recomputation; stationary placements hit on
       every round after the first, moving passes hit whenever two rounds
-      sample the same position (and still dedup the double obstruction
-      evaluation within a round).
+      sample the same position.
     * **fading normals** — the standard-normal pair behind each Rician
       draw, keyed by ``(reader_id, antenna_id, epc, coherence cell)``.
-      The serial simulator derives a fresh seeded stream from exactly
-      that tuple every round, so within one coherence cell the draw is
-      the same pair of normals each time; caching them skips the
-      sha256-based stream construction while the K-factor penalty is
-      still applied per round (obstruction may vary).
+      The draw's seeded stream is named by exactly that tuple, so
+      within one coherence cell it yields the same pair of normals
+      every round; caching them skips the sha256-based stream
+      construction while the K-factor penalty is still applied per
+      round (obstruction may vary).
 
     One cache covers one :meth:`PortalPassSimulator.run_pass` call (all
     readers — geometry terms are reader-independent, so a mux takeover
     re-uses the owning reader's entries). Counters feed
-    ``PortalPassSimulator._last_cache_stats`` and the bench harness.
+    ``PortalPassSimulator._last_cache_stats``.
     """
 
     __slots__ = (
@@ -288,7 +286,6 @@ class PortalPassSimulator:
         env: Optional[LinkEnvironment] = None,
         params: Optional[SimulationParameters] = None,
         timing: Gen2Timing = DEFAULT_TIMING,
-        use_link_cache: bool = True,
         recorder: Optional[Recorder] = None,
     ) -> None:
         self.portal = portal
@@ -299,12 +296,8 @@ class PortalPassSimulator:
         #: site down to a single identity test — no records, no
         #: allocation, bit-identical results.
         self.recorder = recorder
-        #: The per-pass link cache is bit-identical to direct evaluation
-        #: (see :class:`PassLinkCache`); the flag exists for the parity
-        #: tests and for A/B benchmarking, not because results differ.
-        self.use_link_cache = use_link_cache
-        #: Counter snapshot from the most recent :meth:`run_pass`;
-        #: ``None`` before the first pass or when the cache is disabled.
+        #: :class:`PassLinkCache` counter snapshot from the most recent
+        #: :meth:`run_pass`; ``None`` before the first pass.
         self._last_cache_stats: Optional[Dict[str, int]] = None
 
     # -- physics ---------------------------------------------------------
@@ -369,56 +362,6 @@ class PortalPassSimulator:
 
     def _evaluate_tag(
         self,
-        carriers: Sequence[CarrierGroup],
-        carrier: CarrierGroup,
-        tag: Tag,
-        antenna: AntennaInstallation,
-        reader: ReaderAssignment,
-        t: float,
-        shadowing_db: float,
-        fading_gain: float,
-        interference_dbm: Optional[float],
-        coupling_db: float,
-        extra_loss_db: float = 0.0,
-    ) -> LinkResult:
-        """One full link-budget evaluation for a read attempt at time ``t``.
-
-        ``extra_loss_db`` models port-level impairments (a detuned or
-        water-logged antenna from a fault plan): applied at the reader
-        port, it attenuates the forward link and — through the tag's
-        reduced backscatter power — the reverse link as well.
-        """
-        tag_pos = carrier.tag_world_position(tag, t)
-        obstruction_db, reflector = self._obstruction_db(
-            carriers, antenna.position, tag_pos, t
-        )
-        gain_bonus = self.params.reflection_gain_db if reflector else 0.0
-        geometry = LinkGeometry(
-            antenna_position=antenna.position,
-            antenna_boresight=antenna.boresight,
-            tag_position=tag_pos,
-            tag_axis=tag.world_dipole_axis(),
-        )
-        tag_gain_override = None
-        if tag.design is not None:
-            # Alternative inlay: its own pattern replaces the stock
-            # dipole (note the arriving-wave direction is -direction).
-            tag_gain_override = tag.pattern_gain_dbi(-geometry.direction)
-        return evaluate_link(
-            self.env,
-            reader.tx_power_dbm + gain_bonus - extra_loss_db,
-            geometry,
-            obstruction_loss_db=obstruction_db,
-            tag_detuning_db=tag.detuning_db(),
-            coupling_penalty_db=coupling_db,
-            shadowing_db=shadowing_db,
-            fading_power_gain=fading_gain,
-            interference_dbm=interference_dbm,
-            tag_gain_override_dbi=tag_gain_override,
-        )
-
-    def _evaluate_tag_cached(
-        self,
         cache: PassLinkCache,
         carriers: Sequence[CarrierGroup],
         carrier: CarrierGroup,
@@ -435,15 +378,21 @@ class PortalPassSimulator:
         trial: int,
         rec: Optional[PassRecording] = None,
     ) -> Optional[LinkResult]:
-        """Cache-assisted equivalent of the per-round link evaluation.
+        """One link-budget evaluation for a read attempt at time ``t``.
+
+        Geometry terms and fading normals are memoised in ``cache`` (see
+        :class:`PassLinkCache`). Fading is seeded per (trial, radio,
+        antenna, coherence cell): a static geometry keeps its channel,
+        and two radios driving one port hop on different channels.
+        ``fault_loss_db`` is a port-level fault-plan impairment; applied
+        at the reader port, it attenuates both links.
 
         Returns ``None`` when the forward link cannot close under any
-        plausible fading draw (see :data:`MAX_FADING_HEADROOM_DB`): the
-        tag is not energized, so the caller can report a dead
-        :class:`~repro.protocol.gen2.TagChannel` without drawing fading
-        or composing the budget. Otherwise the returned
-        :class:`LinkResult` is bit-identical to what the uncached path
-        produces for the same round.
+        plausible fading draw (see :data:`MAX_FADING_HEADROOM_DB`), so the
+        caller reports a dead :class:`~repro.protocol.gen2.TagChannel`
+        without drawing fading or composing the budget. Otherwise the
+        result equals :func:`~repro.rf.link.evaluate_link` on the same
+        inputs, bit for bit.
         """
         tag_pos = carrier.tag_world_position(tag, t)
         geo_key = (antenna.antenna_id, tag.epc, tag_pos.x, tag_pos.y, tag_pos.z)
@@ -461,6 +410,8 @@ class PortalPassSimulator:
             )
             tag_gain_override = None
             if tag.design is not None:
+                # Alternative inlay: its own pattern replaces the stock
+                # dipole (the arriving-wave direction is -direction).
                 tag_gain_override = tag.pattern_gain_dbi(-geometry.direction)
             terms = compute_link_terms(self.env, geometry, tag_gain_override)
             entry = (terms, obstruction_db, reflector)
@@ -481,77 +432,49 @@ class PortalPassSimulator:
             - terms.polarization_loss_db
             - (obstruction_db + detuning_db + coupling_db)
         )
+        result: Optional[LinkResult] = None
+        fading_db: Optional[float] = None
         if forward_no_fade + MAX_FADING_HEADROOM_DB < self.env.tag_sensitivity_dbm:
             cache.short_circuits += 1
-            if rec is not None:
-                rec.link(
-                    self._link_record(
-                        terms,
-                        tag,
-                        antenna,
-                        reader,
-                        t,
-                        trial,
-                        gain_bonus,
-                        shadowing_db,
-                        obstruction_db,
-                        detuning_db,
-                        coupling_db,
-                        fault_loss_db,
-                        interference_dbm,
-                        fading_db=None,
-                        result=None,
-                    ),
-                    no_fade_margin_db=(
-                        forward_no_fade - self.env.tag_sensitivity_dbm
-                    ),
-                )
-            return None
-        obstructed_k_penalty = (
-            obstruction_db * self.params.k_penalty_per_obstruction
-        )
-        cell = self.params.fading_coherence_m
-        bin_key = (
-            int(tag_pos.x // cell),
-            int(tag_pos.y // cell),
-            int(tag_pos.z // cell),
-        )
-        fading_key = (
-            reader.reader_id,
-            antenna.antenna_id,
-            tag.epc,
-            bin_key[0],
-            bin_key[1],
-            bin_key[2],
-        )
-        normals = cache.fading_normals.get(fading_key)
-        if normals is None:
-            cache.fading_misses += 1
-            fading_rng = seeds.trial_stream(
-                f"fading:{reader.reader_id}:{antenna.antenna_id}:{tag.epc}:"
-                f"{bin_key[0]}:{bin_key[1]}:{bin_key[2]}",
-                trial,
-            )
-            normals = (fading_rng.gauss(0.0, 1.0), fading_rng.gauss(0.0, 1.0))
-            cache.fading_normals[fading_key] = normals
+            no_fade_margin_db = forward_no_fade - self.env.tag_sensitivity_dbm
         else:
-            cache.fading_hits += 1
-        fading_gain = self.env.channel.fading.degraded(
-            obstructed_k_penalty
-        ).power_gain_from_normals(normals[0], normals[1])
-        result = compose_link(
-            self.env,
-            tx_power,
-            terms,
-            obstruction_loss_db=obstruction_db,
-            tag_detuning_db=detuning_db,
-            coupling_penalty_db=coupling_db,
-            shadowing_db=shadowing_db,
-            fading_power_gain=fading_gain,
-            interference_dbm=interference_dbm,
-        )
+            cell = self.params.fading_coherence_m
+            bins = (
+                int(tag_pos.x // cell),
+                int(tag_pos.y // cell),
+                int(tag_pos.z // cell),
+            )
+            fading_key = (reader.reader_id, antenna.antenna_id, tag.epc) + bins
+            normals = cache.fading_normals.get(fading_key)
+            if normals is None:
+                cache.fading_misses += 1
+                fading_rng = seeds.trial_stream(
+                    f"fading:{reader.reader_id}:{antenna.antenna_id}:{tag.epc}:"
+                    f"{bins[0]}:{bins[1]}:{bins[2]}",
+                    trial,
+                )
+                normals = (fading_rng.gauss(0.0, 1.0), fading_rng.gauss(0.0, 1.0))
+                cache.fading_normals[fading_key] = normals
+            else:
+                cache.fading_hits += 1
+            fading_gain = self.env.channel.fading.degraded(
+                obstruction_db * self.params.k_penalty_per_obstruction
+            ).power_gain_from_normals(normals[0], normals[1])
+            result = compose_link(
+                self.env,
+                tx_power,
+                terms,
+                obstruction_loss_db=obstruction_db,
+                tag_detuning_db=detuning_db,
+                coupling_penalty_db=coupling_db,
+                shadowing_db=shadowing_db,
+                fading_power_gain=fading_gain,
+                interference_dbm=interference_dbm,
+            )
+            if rec is not None:
+                fading_db = linear_to_db(max(fading_gain, 1e-300))
+                no_fade_margin_db = result.forward_margin_db - fading_db
         if rec is not None:
-            fading_db = linear_to_db(max(fading_gain, 1e-300))
             rec.link(
                 self._link_record(
                     terms,
@@ -570,7 +493,7 @@ class PortalPassSimulator:
                     fading_db=fading_db,
                     result=result,
                 ),
-                no_fade_margin_db=result.forward_margin_db - fading_db,
+                no_fade_margin_db=no_fade_margin_db,
             )
         return result
 
@@ -733,7 +656,7 @@ class PortalPassSimulator:
         trace = ReadTrace()
         total_rounds = 0
         interference_rng = seeds.trial_stream("interference", trial)
-        cache = PassLinkCache() if self.use_link_cache else None
+        cache = PassLinkCache()
 
         # Each reader runs its own inventory timeline; simultaneous
         # readers interfere but do not share airtime. Traces merge at
@@ -758,7 +681,7 @@ class PortalPassSimulator:
             )
             reader_traces.append(events)
             total_rounds += rounds
-        self._last_cache_stats = cache.stats() if cache is not None else None
+        self._last_cache_stats = cache.stats()
 
         merged = sorted(
             (e for events in reader_traces for e in events), key=lambda e: e.time
@@ -808,9 +731,9 @@ class PortalPassSimulator:
         trial: int,
         duration: float,
         interference_rng,
-        fault_plan: Optional["FaultPlan"] = None,
-        cache: Optional[PassLinkCache] = None,
-        rec: Optional[PassRecording] = None,
+        fault_plan: Optional["FaultPlan"],
+        cache: PassLinkCache,
+        rec: Optional[PassRecording],
     ) -> Tuple[List[TagReadEvent], int]:
         """One reader's full pass: TDMA over its antennas, round after round."""
         protocol_rng = seeds.trial_stream(f"protocol:{reader.reader_id}", trial)
@@ -920,65 +843,8 @@ class PortalPassSimulator:
 
             def channel(epc: str) -> TagChannel:
                 carrier, tag = epc_index[epc]
-                if cache is not None:
-                    result = self._evaluate_tag_cached(
-                        cache,
-                        carriers,
-                        carrier,
-                        tag,
-                        antenna,
-                        reader,
-                        t,
-                        shadowing[(epc, antenna.antenna_id)],
-                        detuning_db[epc],
-                        coupling_db[epc],
-                        interference,
-                        fault_loss_db,
-                        seeds,
-                        trial,
-                        rec,
-                    )
-                    if result is None:
-                        # Forward link provably cannot close this round;
-                        # an un-energized tag never replies, so nothing
-                        # downstream consumes a LinkResult for it.
-                        return TagChannel(energized=False, reply_decode_p=0.0)
-                    last_result[epc] = result
-                    return TagChannel(
-                        energized=result.activated,
-                        reply_decode_p=self._decode_probability(result),
-                    )
-                fading = self.env.channel.fading
-                # Evaluate obstruction first (it degrades the K-factor),
-                # then draw fading from the degraded channel. The draw is
-                # deterministic per (trial, link, coherence cell): the
-                # channel of a static geometry does not re-roll itself —
-                # only motion across ~lambda/2 decorrelates it.
-                tag_pos = carrier.tag_world_position(tag, t)
-                obstruction_db, _ = self._obstruction_db(
-                    carriers, antenna.position, tag_pos, t
-                )
-                obstructed_k_penalty = (
-                    obstruction_db * self.params.k_penalty_per_obstruction
-                )
-                cell = self.params.fading_coherence_m
-                bin_key = (
-                    int(tag_pos.x // cell),
-                    int(tag_pos.y // cell),
-                    int(tag_pos.z // cell),
-                )
-                # Keyed by (radio, antenna): two radios driving the
-                # same port see decorrelated small-scale fading, since
-                # they hop on different frequency channels.
-                fading_rng = seeds.trial_stream(
-                    f"fading:{reader.reader_id}:{antenna.antenna_id}:{epc}:"
-                    f"{bin_key[0]}:{bin_key[1]}:{bin_key[2]}",
-                    trial,
-                )
-                fading_gain = fading.degraded(
-                    obstructed_k_penalty
-                ).sample_power_gain(fading_rng)
                 result = self._evaluate_tag(
+                    cache,
                     carriers,
                     carrier,
                     tag,
@@ -986,57 +852,20 @@ class PortalPassSimulator:
                     reader,
                     t,
                     shadowing[(epc, antenna.antenna_id)],
-                    fading_gain,
-                    interference,
+                    detuning_db[epc],
                     coupling_db[epc],
+                    interference,
                     fault_loss_db,
+                    seeds,
+                    trial,
+                    rec,
                 )
+                if result is None:
+                    # Forward link provably cannot close this round; an
+                    # un-energized tag never replies, so nothing
+                    # downstream consumes a LinkResult for it.
+                    return TagChannel(energized=False, reply_decode_p=0.0)
                 last_result[epc] = result
-                if rec is not None:
-                    # Recompute the per-term breakdown for the waterfall
-                    # record (recording-only work; the uncached hot path
-                    # composed the budget without exposing its terms).
-                    geometry = LinkGeometry(
-                        antenna_position=antenna.position,
-                        antenna_boresight=antenna.boresight,
-                        tag_position=tag_pos,
-                        tag_axis=tag.world_dipole_axis(),
-                    )
-                    tag_gain_override = None
-                    if tag.design is not None:
-                        tag_gain_override = tag.pattern_gain_dbi(
-                            -geometry.direction
-                        )
-                    terms = compute_link_terms(
-                        self.env, geometry, tag_gain_override
-                    )
-                    fading_db = linear_to_db(max(fading_gain, 1e-300))
-                    _, reflector = self._obstruction_db(
-                        carriers, antenna.position, tag_pos, t
-                    )
-                    gain_bonus = (
-                        self.params.reflection_gain_db if reflector else 0.0
-                    )
-                    rec.link(
-                        self._link_record(
-                            terms,
-                            tag,
-                            antenna,
-                            reader,
-                            t,
-                            trial,
-                            gain_bonus,
-                            shadowing[(epc, antenna.antenna_id)],
-                            obstruction_db,
-                            detuning_db[epc],
-                            coupling_db[epc],
-                            fault_loss_db,
-                            interference,
-                            fading_db=fading_db,
-                            result=result,
-                        ),
-                        no_fade_margin_db=result.forward_margin_db - fading_db,
-                    )
                 return TagChannel(
                     energized=result.activated,
                     reply_decode_p=self._decode_probability(result),

@@ -78,3 +78,63 @@ class TestExperimentCommands:
         output = buffer.getvalue()
         assert code == 0
         assert "no DRM" in output
+
+
+def _bench_doc(**flags):
+    """A canned bench document whose parity flags default to true."""
+    times = {"p50_s": 0.1, "p95_s": 0.2}
+    return {
+        "meta": {"date": "2007-06-25"},
+        "hot_paths": {
+            "read_range_search": {
+                "speedup": 7.0,
+                "answers_equal": flags.get("answers_equal", True),
+            },
+            "obs_overhead": {
+                "metrics_overhead_pct": 1.0,
+                "full_capture_overhead_pct": 2.0,
+                "bit_identical": flags.get("bit_identical", True),
+            },
+        },
+        "workload": {
+            "serial": {"passes_per_sec": 1.0, "trial_times": times},
+            "parallel": {"passes_per_sec": 2.0, "workers": 2},
+            "speedup": 2.0,
+            "parity": flags.get("parity", True),
+        },
+    }
+
+
+class TestBenchCommand:
+    """Every parity flag in the bench document gates the exit code."""
+
+    def _run(self, monkeypatch, tmp_path, capsys, doc):
+        import repro.core.bench as bench
+
+        monkeypatch.setattr(bench, "run_benchmark", lambda **_: doc)
+        code = main(["bench", "--output", str(tmp_path / "bench.json")])
+        return code, capsys.readouterr().err
+
+    def test_all_flags_true_exits_zero(self, monkeypatch, tmp_path, capsys):
+        code, err = self._run(monkeypatch, tmp_path, capsys, _bench_doc())
+        assert code == 0
+        assert err == ""
+
+    def test_obs_overhead_drift_exits_one(self, monkeypatch, tmp_path, capsys):
+        doc = _bench_doc(bit_identical=False)
+        code, err = self._run(monkeypatch, tmp_path, capsys, doc)
+        assert code == 1
+        assert "hot_paths.obs_overhead.bit_identical" in err
+
+    def test_read_range_mismatch_exits_one(self, monkeypatch, tmp_path, capsys):
+        doc = _bench_doc(answers_equal=False)
+        code, err = self._run(monkeypatch, tmp_path, capsys, doc)
+        assert code == 1
+        assert "hot_paths.read_range_search.answers_equal" in err
+
+    def test_workload_parity_exits_one(self, monkeypatch, tmp_path, capsys):
+        code, err = self._run(
+            monkeypatch, tmp_path, capsys, _bench_doc(parity=False)
+        )
+        assert code == 1
+        assert "workload.parity" in err

@@ -9,7 +9,7 @@ from repro.core.parallel import (
     REPRO_WORKERS_ENV,
     PassTrialTask,
     _chunk_bounds,
-    execute_trials,
+    execute_timed_trials,
     resolve_workers,
     task_is_picklable,
 )
@@ -95,7 +95,7 @@ class TestParallelExecution:
         task = SquareTask()
         seeds = SeedSequence(7)
         expected = [task(seeds, i) for i in range(5)]
-        assert execute_trials(task, 5, 7, workers=2) == expected
+        assert execute_timed_trials(task, 5, 7, workers=2)[0] == expected
 
     def test_closure_falls_back_to_serial(self):
         # A closure cannot cross the process boundary; run_trials must
