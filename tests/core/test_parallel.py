@@ -1,6 +1,7 @@
 """Tests for the process-pool trial engine (`repro.core.parallel`)."""
 
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -96,6 +97,25 @@ class TestParallelExecution:
         seeds = SeedSequence(7)
         expected = [task(seeds, i) for i in range(5)]
         assert execute_timed_trials(task, 5, 7, workers=2)[0] == expected
+
+    def test_one_nonnegative_time_per_trial(self):
+        outcomes, seconds = execute_timed_trials(SquareTask(), 5, 7, workers=2)
+        assert len(seconds) == len(outcomes) == 5
+        assert all(s >= 0.0 for s in seconds)
+
+    def test_more_workers_than_trials(self):
+        task = SquareTask()
+        seeds = SeedSequence(3)
+        expected = [task(seeds, i) for i in range(2)]
+        assert execute_timed_trials(task, 2, 3, workers=4)[0] == expected
+
+    def test_supplied_executor_stays_open(self):
+        # A sweep hands one pool to many loops; a loop must not shut it.
+        task = SquareTask()
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            first = execute_timed_trials(task, 4, 5, workers=2, executor=pool)
+            second = execute_timed_trials(task, 4, 5, workers=2, executor=pool)
+        assert first[0] == second[0]
 
     def test_closure_falls_back_to_serial(self):
         # A closure cannot cross the process boundary; run_trials must

@@ -69,6 +69,13 @@ class TestPinnedDocuments:
             pinned = json.load(handle)
         assert result.metrics["records_sha256"] == pinned["records_sha256"]
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_scenario_matches_its_pin(self, name):
+        # Every pin, so a simulator refactor that drifts any trace fails
+        # here and not only under `python -m repro validate`.
+        (result,) = check_golden(names=[name])
+        assert result.passed, result.detail
+
 
 class TestRecordsDigest:
     def test_deterministic(self):
