@@ -11,7 +11,7 @@ paper's redundancy analysis:
 * :mod:`repro.reader` — wire format, middleware, back-end;
 * :mod:`repro.core` — reliability metrics, the R_C redundancy model,
   calibration, planning, and software-correction baselines;
-* :mod:`repro.analysis` — statistics and table/figure rendering;
+* :mod:`repro.analysis` — table and figure rendering;
 * :mod:`repro.obs` — observability: link-budget tracing, miss-cause
   attribution, run metrics, manifests, and the ``explain`` pipeline.
 

@@ -1,16 +1,5 @@
-"""Statistics and reporting helpers for experiments and benchmarks."""
+"""Table and figure rendering for experiments and benchmarks."""
 
-from .stats import (
-    BootstrapInterval,
-    bootstrap_interval,
-    mean,
-    monotone_decreasing,
-    quantile,
-    quartiles,
-    relative_error,
-    stddev,
-    variance,
-)
 from .tables import (
     PaperComparison,
     Table,
@@ -21,37 +10,12 @@ from .tables import (
 
 from .figures import Series, heatmap, line_plot, sparkline
 
-from .trace_stats import (
-    PassProfile,
-    RssiSummary,
-    antenna_balance,
-    antenna_utilization,
-    inter_read_gaps,
-    read_rate_over_time,
-)
-
 __all__ = [
-    "PassProfile",
-    "RssiSummary",
-    "antenna_balance",
-    "antenna_utilization",
-    "inter_read_gaps",
-    "read_rate_over_time",
-
     "Series",
     "heatmap",
     "line_plot",
     "sparkline",
 
-    "BootstrapInterval",
-    "bootstrap_interval",
-    "mean",
-    "monotone_decreasing",
-    "quantile",
-    "quartiles",
-    "relative_error",
-    "stddev",
-    "variance",
     "PaperComparison",
     "Table",
     "bar_chart",

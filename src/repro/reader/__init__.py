@@ -36,24 +36,13 @@ from .supervisor import (
     SupervisorError,
 )
 
-from .device import DeviceConfig, DeviceError, ReaderDevice
-
 from .site import Checkpoint, Journey, SiteError, SiteTracker
 
-from .smurf import EpochObservations, SmurfCleaner
-
 __all__ = [
-    "EpochObservations",
-    "SmurfCleaner",
-
     "Checkpoint",
     "Journey",
     "SiteError",
     "SiteTracker",
-
-    "DeviceConfig",
-    "DeviceError",
-    "ReaderDevice",
 
     "HealthTransition",
     "PollStats",

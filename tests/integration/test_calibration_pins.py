@@ -8,8 +8,9 @@ bands, direction of effects), which is what the reproduction claims.
 
 import pytest
 
-from repro.core.calibration import PaperSetup
+from repro.core.calibration import PaperSetup, paper_link_environment
 from repro.core.model import OBJECT_LOCATION_RELIABILITY
+from repro.rf.units import watts_to_dbm
 from repro.world.objects import BoxFace
 from repro.world.scenarios.object_tracking import run_table1_experiment
 from repro.world.scenarios.human_tracking import run_table2_experiment
@@ -105,6 +106,21 @@ class TestCalibrationConstants:
         setup = PaperSetup()
         assert setup.tx_power_dbm == 30.0
         assert setup.env.tag_sensitivity_dbm < -10.0
+
+    def test_reader_sensitivity_matches_noise_floor(self):
+        """-75 dBm is kTB + effective noise figure + decoder SNR.
+
+        kTB at 290 K over a 250 kHz backscatter bandwidth, a 35 dB
+        effective noise figure (monostatic carrier leakage dominates a
+        2006-era reader's receive chain) and 10 dB FM0/Miller SNR give
+        -74.996 dBm.
+        """
+        boltzmann_j_per_k = 1.380649e-23
+        ktb_dbm = watts_to_dbm(boltzmann_j_per_k * 290.0 * 250e3)
+        derived_dbm = ktb_dbm + 35.0 + 10.0
+        assert derived_dbm == pytest.approx(-74.996, abs=1e-3)
+        sensitivity_dbm = paper_link_environment().reader_sensitivity_dbm
+        assert abs(sensitivity_dbm - derived_dbm) <= 3.0
 
     def test_deterministic_free_space_range_plausible(self):
         from repro.rf.link import free_space_read_range_m

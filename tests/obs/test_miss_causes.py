@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.calibration import PaperSetup
@@ -70,6 +70,24 @@ def _run(carrier, params=None, env=None, fault_plan=None, seed=11, trial=0):
 def _epcs(n):
     factory = EpcFactory()
     return [factory.next_epc().to_hex() for _ in range(n)]
+
+
+def _assert_margin_explains_miss(outcome):
+    """A tag no dwell energized is UNDER_ENERGIZED exactly when its best
+    no-fade margin sits inside the fading head-room, and OUT_OF_ZONE
+    exactly when it does not."""
+    assert outcome.cause in (
+        MissCause.UNDER_ENERGIZED,
+        MissCause.OUT_OF_ZONE,
+    )
+    margin = outcome.best_no_fade_margin_db
+    assert margin is not None and margin < 0.0
+    within_headroom = margin + MAX_FADING_HEADROOM_DB >= 0.0
+    if outcome.cause is MissCause.UNDER_ENERGIZED:
+        assert within_headroom
+        assert outcome.energized_dwells == 0
+    else:
+        assert not within_headroom
 
 
 def test_collision():
@@ -246,36 +264,33 @@ class TestMissCauseProperties:
         outcome = obs.outcome_for(epc)
         if outcome.cause is None:
             return  # a lucky fading draw closed the link
-        assert outcome.cause in (
-            MissCause.UNDER_ENERGIZED,
-            MissCause.OUT_OF_ZONE,
-        )
-        margin = outcome.best_no_fade_margin_db
-        assert margin is not None and margin < 0.0
-        within_headroom = margin + MAX_FADING_HEADROOM_DB >= 0.0
-        if outcome.cause is MissCause.UNDER_ENERGIZED:
-            assert within_headroom
-            assert outcome.energized_dwells == 0
-        else:
-            assert not within_headroom
+        _assert_margin_explains_miss(outcome)
 
     @given(seed=_seeds, z=st.floats(100.0, 200.0))
+    @example(seed=807622668, z=100.0)
     @_few_examples
     def test_out_of_zone(self, seed, z):
-        """Far beyond the head-room no draw can close the link: the tag
-        is always missed, always OUT_OF_ZONE."""
+        """Far from the portal no dwell energizes the tag, and it is
+        OUT_OF_ZONE unless shadowing leaves its best no-fade margin
+        inside the head-room (seed 807622668 at 100 m: -19.9 dB), where
+        UNDER_ENERGIZED is right."""
         (epc,) = _epcs(1)
         result, obs = _run(_stationary([_tag(epc)], z=z), seed=seed)
         _assert_partition(obs)
         assert not result.read_epcs
-        assert obs.miss_causes()[epc] is MissCause.OUT_OF_ZONE
-        assert obs.outcome_for(epc).energized_dwells == 0
+        outcome = obs.outcome_for(epc)
+        _assert_margin_explains_miss(outcome)
+        assert outcome.energized_dwells == 0
 
     @given(seed=_seeds, near_z=st.floats(0.4, 0.8), far_z=st.floats(90.0, 150.0))
+    @example(seed=48175206, near_z=0.4, far_z=90.0)
     @_few_examples
     def test_mixed_pass_is_exhaustive(self, seed, near_z, far_z):
         """A pass mixing colliding, readable, and unreachable tags still
-        partitions cleanly: every tag either read or exactly one cause."""
+        partitions cleanly: every tag either read or exactly one cause.
+        The far tag is missed, but not always OUT_OF_ZONE: at 90 m some
+        seeds leave its best no-fade margin inside the fading head-room
+        (seed 48175206: -19.2 dB), where UNDER_ENERGIZED is right."""
         params = replace(
             SETUP.params, q_initial=0, q_max=0, capture_probability=0.0
         )
@@ -293,4 +308,4 @@ class TestMissCauseProperties:
         obs = result.obs
         _assert_partition(obs)
         assert len(obs.tag_outcomes) == 3
-        assert obs.miss_causes()[c] is MissCause.OUT_OF_ZONE
+        _assert_margin_explains_miss(obs.outcome_for(c))
