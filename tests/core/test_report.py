@@ -1,5 +1,8 @@
-"""Tests for EXPERIMENTS.md report assembly."""
+"""Tests for the CLI output formatter and EXPERIMENTS.md assembly."""
 
+import enum
+import io
+import json
 import os
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from repro.core.report import (
     EXPERIMENT_INDEX,
     ExperimentArtifact,
+    emit,
     load_artifacts,
     render_experiments_md,
     write_experiments_md,
@@ -81,3 +85,49 @@ class TestWrite:
         body = output.read_text()
         assert body.startswith("# EXPERIMENTS")
         assert "x" in body and "y" in body
+
+
+class _Cause(enum.Enum):
+    COLLISION = "collision"
+
+
+class TestEmit:
+    def test_text_view_gets_one_trailing_newline(self):
+        out = io.StringIO()
+        emit({"ok": True}, "done", stream=out)
+        assert out.getvalue() == "done\n"
+
+    def test_text_already_ending_in_newline_is_not_doubled(self):
+        out = io.StringIO()
+        emit({"ok": True}, "done\n", stream=out)
+        assert out.getvalue() == "done\n"
+
+    def test_json_view_writes_the_payload_not_the_text(self):
+        out = io.StringIO()
+        emit({"rate": 0.95, "reps": 4}, "rate 95%", as_json=True, stream=out)
+        assert json.loads(out.getvalue()) == {"rate": 0.95, "reps": 4}
+        assert "95%" not in out.getvalue()
+        assert out.getvalue().endswith("}\n")
+
+    def test_non_json_values_fall_back_to_str(self):
+        out = io.StringIO()
+        emit({"cause": _Cause.COLLISION}, "", as_json=True, stream=out)
+        assert json.loads(out.getvalue()) == {"cause": str(_Cause.COLLISION)}
+
+    def test_defaults_to_stdout(self, capsys):
+        emit({}, "to stdout")
+        assert capsys.readouterr().out == "to stdout\n"
+
+
+class TestExperimentsMarkdown:
+    def test_available_artifact_is_fenced(self):
+        artifact = ExperimentArtifact("table1", "Table 1", "gloss", "row 1\nrow 2")
+        text = render_experiments_md([artifact])
+        assert "## Table 1 \u2014 gloss\n\n```\nrow 1\nrow 2\n```" in text
+        assert "Missing artefacts" not in text
+
+    def test_write_strips_trailing_whitespace_of_results(self, tmp_path):
+        stem = EXPERIMENT_INDEX[0][0]
+        (tmp_path / f"{stem}.txt").write_text("value\n\n\n")
+        (artifact,) = [a for a in load_artifacts(str(tmp_path)) if a.available]
+        assert artifact.content == "value"

@@ -156,3 +156,77 @@ class TestManifest:
         directory = str(tmp_path)
         assert manifest_path(directory).endswith(MANIFEST_FILENAME)
         assert events_path(directory).endswith(EVENTS_FILENAME)
+
+    def test_config_hash_is_sha256_hex(self):
+        digest = config_hash({"reps": 3})
+        assert len(digest) == 64
+        int(digest, 16)
+
+    def test_config_hash_ignores_whitespace_and_nesting_order(self):
+        a = {"portal": {"antennas": 2, "power_dbm": 30.0}, "reps": 3}
+        b = {"reps": 3, "portal": {"power_dbm": 30.0, "antennas": 2}}
+        assert config_hash(a) == config_hash(b)
+
+    def test_config_hash_stringifies_non_json_values(self):
+        assert config_hash({"path": _Unjsonable()}) == config_hash({"path": "u"})
+
+    def test_injected_start_stamp_is_kept(self):
+        stamp = "2007-06-25T00:00:00+00:00"
+        manifest = RunManifest.create(
+            command="table1", seed=1, config={}, wall_time_s=0.0, started_at=stamp
+        )
+        assert manifest.started_at == stamp
+
+    def test_same_inputs_give_equal_manifests(self):
+        kwargs = dict(
+            command="table1", seed=1, config={"reps": 2}, wall_time_s=0.5,
+            started_at="2007-06-25T00:00:00+00:00",
+        )
+        assert RunManifest.create(**kwargs) == RunManifest.create(**kwargs)
+
+    def test_config_is_copied(self):
+        config = {"reps": 2}
+        manifest = RunManifest.create(
+            command="table1", seed=1, config=config, wall_time_s=0.5
+        )
+        config["reps"] = 99
+        assert manifest.config == {"reps": 2}
+
+    def test_manifest_file_is_indented_json(self, tmp_path):
+        manifest = RunManifest.create(
+            command="faults", seed=11, config={}, wall_time_s=0.25
+        )
+        path = write_manifest(str(tmp_path / "a" / "b"), manifest)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        assert text.endswith("}\n")
+        assert json.loads(text)["workers"] is None
+        assert '\n  "command": "faults"' in text
+
+
+class _Unjsonable:
+    def __str__(self):
+        return "u"
+
+
+class TestJsonlFiles:
+    def test_empty_file_round_trip(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        assert write_events_jsonl(path, []) == 0
+        assert read_events_jsonl(path) == []
+
+    def test_one_line_per_record_with_sorted_keys(self, tmp_path):
+        records = _one_of_each()
+        path = str(tmp_path / "events.jsonl")
+        write_events_jsonl(path, records)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == len(records)
+        for line in lines:
+            keys = list(json.loads(line))
+            assert keys == sorted(keys)
+
+    def test_write_in_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert write_events_jsonl("events.jsonl", _one_of_each()[:1]) == 1
+        assert len(read_events_jsonl("events.jsonl")) == 1

@@ -122,3 +122,82 @@ class TestFactory:
         text = EpcFactory().next_epc().to_hex()
         int(text, 16)
         assert len(text) == 24
+
+
+#: EPC Tag Data Standard SGTIN-96 partition table: partition ->
+#: (company prefix bits, digits, item reference bits, digits).
+TDS_PARTITIONS = {
+    0: (40, 12, 4, 1),
+    1: (37, 11, 7, 2),
+    2: (34, 10, 10, 3),
+    3: (30, 9, 14, 4),
+    4: (27, 8, 17, 5),
+    5: (24, 7, 20, 6),
+    6: (20, 6, 24, 7),
+}
+
+
+class TestTagDataStandardExample:
+    # The worked SGTIN-96 example of the EPC Tag Data Standard.
+    HEX = "3074257BF7194E4000001A85"
+
+    def test_encodes_to_standard_hex(self):
+        epc = _epc(filter_value=3, partition=5, serial=6789)
+        assert epc.to_hex() == self.HEX
+
+    def test_standard_uri(self):
+        epc = _epc(filter_value=3, partition=5, serial=6789)
+        assert epc.to_uri() == "urn:epc:id:sgtin:0614141.812345.6789"
+
+    def test_decodes_standard_hex(self):
+        assert Sgtin96.from_hex(self.HEX) == _epc(
+            filter_value=3, partition=5, serial=6789
+        )
+
+    def test_hex_decoding_ignores_case_and_surrounding_space(self):
+        assert Sgtin96.from_hex(f"  {self.HEX.lower()}\n") == Sgtin96.from_hex(
+            self.HEX
+        )
+
+
+class TestPartitionTable:
+    @pytest.mark.parametrize("partition", sorted(TDS_PARTITIONS))
+    def test_field_widths(self, partition):
+        cp_bits, _, ir_bits, _ = TDS_PARTITIONS[partition]
+        widest = _epc(
+            partition=partition,
+            company_prefix=(1 << cp_bits) - 1,
+            item_reference=(1 << ir_bits) - 1,
+            serial=MAX_SERIAL,
+        )
+        assert Sgtin96.from_bits(widest.to_bits()) == widest
+        with pytest.raises(EpcError):
+            _epc(partition=partition, company_prefix=1 << cp_bits, item_reference=0)
+        with pytest.raises(EpcError):
+            _epc(partition=partition, company_prefix=0, item_reference=1 << ir_bits)
+
+    @pytest.mark.parametrize("partition", sorted(TDS_PARTITIONS))
+    def test_uri_digit_counts(self, partition):
+        _, cp_digits, _, ir_digits = TDS_PARTITIONS[partition]
+        # GS1 company prefix plus item reference is always 13 digits.
+        assert cp_digits + ir_digits == 13
+        uri = _epc(partition=partition, company_prefix=1, item_reference=2).to_uri()
+        company, item, serial = uri.rsplit(":", 1)[1].split(".")
+        assert (len(company), len(item), serial) == (cp_digits, ir_digits, "42")
+
+    def test_partition_seven_is_rejected_on_decode(self):
+        bits = _epc().to_bits()
+        bits[11:14] = [1, 1, 1]
+        with pytest.raises(EpcError):
+            Sgtin96.from_bits(bits)
+
+
+class TestFactoryBatch:
+    def test_empty_batch(self):
+        assert EpcFactory().batch(0) == []
+
+    def test_batches_continue_the_sequence(self):
+        factory = EpcFactory()
+        first = factory.batch(2)
+        second = factory.batch(2)
+        assert [e.serial for e in first + second] == [0, 1, 2, 3]

@@ -104,3 +104,47 @@ class TestThroughput:
         low = DEFAULT_TIMING.effective_read_rate_tags_per_s(0.2)
         high = DEFAULT_TIMING.effective_read_rate_tags_per_s(0.4)
         assert high > low
+
+
+class TestFirstPrinciples:
+    FM0_256K = Gen2Timing(tari_s=25e-6, blf_hz=256e3, tag_encoding_symbols_per_bit=1)
+
+    @pytest.mark.parametrize("symbols", [1, 2, 4, 8])
+    def test_tag_bit_is_symbols_over_blf(self, symbols):
+        timing = Gen2Timing(blf_hz=128e3, tag_encoding_symbols_per_bit=symbols)
+        assert timing.tag_bit_s == pytest.approx(symbols / 128e3)
+
+    def test_reader_bit_is_mean_of_data0_and_data1(self):
+        assert self.FM0_256K.reader_bit_s == pytest.approx(1.375 * 25e-6)
+
+    def test_query_airtime(self):
+        # 12.5 Tari preamble plus 22 bits (command, parameters, CRC-5).
+        expected = 12.5 * 25e-6 + 22 * 1.375 * 25e-6
+        assert self.FM0_256K.query_s == pytest.approx(expected)
+
+    def test_fm0_reply_has_six_bit_preamble(self):
+        assert self.FM0_256K.rn16_s == pytest.approx((16 + 6) / 256e3)
+
+    def test_miller_reply_has_ten_bit_preamble(self):
+        assert DEFAULT_TIMING.rn16_s == pytest.approx((16 + 10) * 4 / 128e3)
+
+    def test_epc_reply_is_128_bits(self):
+        assert self.FM0_256K.epc_reply_s == pytest.approx((128 + 6) / 256e3)
+
+    def test_t1_floor_at_fast_links(self):
+        fast = Gen2Timing(blf_hz=640e3, tag_encoding_symbols_per_bit=1)
+        assert 10.0 * fast.tag_bit_s < 25e-6
+        assert fast.t1_s == pytest.approx(25e-6)
+
+    def test_t1_scales_with_slow_links(self):
+        assert DEFAULT_TIMING.t1_s == pytest.approx(10.0 * 4 / 128e3)
+
+    def test_empty_round_is_one_query(self):
+        assert DEFAULT_TIMING.round_duration_s(0, 0, 0) == DEFAULT_TIMING.query_s
+
+    def test_default_singulation_fits_paper_budget(self):
+        assert DEFAULT_TIMING.success_slot_s < PAPER_SECONDS_PER_TAG
+
+    def test_full_efficiency_rate_is_one_success_per_slot(self):
+        rate = DEFAULT_TIMING.effective_read_rate_tags_per_s(1.0)
+        assert rate == pytest.approx(1.0 / DEFAULT_TIMING.success_slot_s)

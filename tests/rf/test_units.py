@@ -127,3 +127,56 @@ class TestSumPowers:
     def test_sum_at_least_max(self, levels):
         # Incoherent sum can never be below the strongest component.
         assert units.sum_powers_dbm(*levels) >= max(levels) - 1e-9
+
+
+class TestKnownValues:
+    @pytest.mark.parametrize(
+        "dbm, watts",
+        [(-30.0, 1e-6), (0.0, 1e-3), (20.0, 0.1), (36.0, 3.981), (-13.5, 4.467e-5)],
+    )
+    def test_dbm_to_watts_table(self, dbm, watts):
+        # 36 dBm is the FCC 4 W EIRP cap; -13.5 dBm the calibrated
+        # 2006-era tag sensitivity.
+        assert units.dbm_to_watts(dbm) == pytest.approx(watts, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "freq_hz, wavelength_m",
+        [(866e6, 0.3462), (902e6, 0.3324), (928e6, 0.3231), (2.45e9, 0.1224)],
+    )
+    def test_wavelength_table(self, freq_hz, wavelength_m):
+        assert units.wavelength(freq_hz) == pytest.approx(wavelength_m, abs=1e-4)
+
+    def test_friis_never_positive(self):
+        # The lambda/10 clamp sits beyond lambda/(4 pi), where the gain
+        # would reach 0 dB, so the ceiling is 20 log10(10 / 4 pi) dB.
+        lam = units.wavelength(units.UHF_RFID_FREQ_HZ)
+        ceiling = 20.0 * math.log10(10.0 / (4.0 * math.pi))
+        assert units.friis_path_gain_db(lam / (4.0 * math.pi)) == pytest.approx(
+            ceiling
+        )
+        assert ceiling < 0.0
+
+    def test_friis_clamp_is_a_tenth_of_a_wavelength(self):
+        lam = units.wavelength(units.UHF_RFID_FREQ_HZ)
+        assert units.friis_path_gain_db(0.0) == units.friis_path_gain_db(lam / 10.0)
+        assert units.friis_path_gain_db(lam / 20.0) == units.friis_path_gain_db(
+            lam / 10.0
+        )
+
+    def test_friis_falls_20db_per_decade(self):
+        assert units.friis_path_gain_db(1.0) - units.friis_path_gain_db(
+            10.0
+        ) == pytest.approx(20.0)
+
+    def test_higher_frequency_loses_more(self):
+        assert units.friis_path_gain_db(3.0, 2.45e9) < units.friis_path_gain_db(
+            3.0, 915e6
+        )
+
+    @given(
+        st.lists(st.floats(min_value=-80.0, max_value=40.0), min_size=2, max_size=6)
+    )
+    def test_sum_powers_order_invariant(self, levels):
+        assert units.sum_powers_dbm(*levels) == pytest.approx(
+            units.sum_powers_dbm(*reversed(levels)), abs=1e-9
+        )

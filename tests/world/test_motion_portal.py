@@ -3,7 +3,12 @@
 import pytest
 
 from repro.rf.geometry import Vec3
-from repro.world.motion import LinearPass, StationaryPlacement
+from repro.world.motion import (
+    PAPER_LANE_DISTANCE_M,
+    PAPER_PASS_SPEED_MPS,
+    LinearPass,
+    StationaryPlacement,
+)
 from repro.world.portal import (
     AntennaInstallation,
     Portal,
@@ -54,6 +59,36 @@ class TestLinearPass:
         slow = LinearPass.centered_lane_pass(speed_mps=0.5)
         fast = LinearPass.centered_lane_pass(speed_mps=2.0)
         assert fast.duration_s < slow.duration_s
+
+
+    def test_paper_defaults(self):
+        # Section 3: carts and walkers pass at ~1 m/s, 1 m from the antenna.
+        walk = LinearPass.centered_lane_pass()
+        assert walk.speed_mps == pytest.approx(PAPER_PASS_SPEED_MPS) == 1.0
+        assert walk.start_position.z == pytest.approx(PAPER_LANE_DISTANCE_M) == 1.0
+        assert walk.duration_s == pytest.approx(4.0)
+
+    def test_lane_distance_and_height_constant_along_pass(self):
+        walk = LinearPass.centered_lane_pass(lane_distance_m=1.5, height_m=0.8)
+        for t in (0.0, 1.0, 2.5, walk.duration_s):
+            position = walk.position_at(t)
+            assert (position.y, position.z) == pytest.approx((0.8, 1.5))
+
+    def test_pass_ends_half_span_past_antenna(self):
+        walk = LinearPass.centered_lane_pass(half_span_m=3.0, speed_mps=1.5)
+        assert walk.end_position.x == pytest.approx(3.0)
+        assert walk.duration_s == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.7, 4.0])
+    def test_distance_travelled_is_speed_times_time(self, t):
+        walk = LinearPass(Vec3(1, 2, 3), Vec3(0, 2, 0), duration_s=4.0)
+        assert (walk.position_at(t) - walk.start_position).norm() == pytest.approx(
+            2.0 * t
+        )
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError):
+            LinearPass(Vec3.zero(), Vec3.unit_x(), duration_s=-1.0)
 
 
 class TestStationary:
