@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -213,24 +213,6 @@ class Pose:
         return Pose(self.position + offset, self.rotation)
 
 
-def segment_intersects_sphere(
-    start: Vec3, end: Vec3, centre: Vec3, radius: float
-) -> bool:
-    """True when the segment ``start``-``end`` passes within ``radius`` of ``centre``.
-
-    Used by the occlusion models (metal box contents, human bodies) to
-    decide whether a propagation path is blocked.
-    """
-    seg = end - start
-    seg_len2 = seg.dot(seg)
-    if seg_len2 < 1e-24:
-        return start.distance_to(centre) <= radius
-    t = (centre - start).dot(seg) / seg_len2
-    t = max(0.0, min(1.0, t))
-    closest = start + seg * t
-    return closest.distance_to(centre) <= radius
-
-
 def segment_sphere_chord_length(
     start: Vec3, end: Vec3, centre: Vec3, radius: float
 ) -> float:
@@ -259,19 +241,3 @@ def segment_sphere_chord_length(
     t1 = min(t1, seg_len)
     return max(0.0, t1 - t0)
 
-
-def centroid(points: Sequence[Vec3]) -> Vec3:
-    """Arithmetic mean of a non-empty sequence of points."""
-    if not points:
-        raise ValueError("centroid of an empty point set is undefined")
-    total = Vec3.zero()
-    for p in points:
-        total = total + p
-    return total / float(len(points))
-
-
-def pairwise_distances(points: Sequence[Vec3]) -> Iterable[float]:
-    """Yield the distance for every unordered pair of points."""
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            yield points[i].distance_to(points[j])

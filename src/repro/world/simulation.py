@@ -25,16 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only, avoids a cycle
     from ..faults.plan import CoverageReport, FaultPlan
@@ -111,16 +102,21 @@ class PassLinkCache:
       every round; caching them skips the sha256-based stream
       construction while the K-factor penalty is still applied per
       round (obstruction may vary).
+    * **occluder frame** — :func:`occluder_frame` at the current round's
+      ``t``. A round's channel queries share one ``t``, and a pass one
+      carrier sequence, so ``t`` alone keys it.
 
     One cache covers one :meth:`PortalPassSimulator.run_pass` call (all
     readers — geometry terms are reader-independent, so a mux takeover
-    re-uses the owning reader's entries). Counters feed
-    ``PortalPassSimulator._last_cache_stats``.
+    re-uses the owning reader's entries). Its counters come back as
+    :attr:`PassResult.cache_stats`.
     """
 
     __slots__ = (
         "geometry",
         "fading_normals",
+        "frame",
+        "frame_t",
         "geometry_hits",
         "geometry_misses",
         "fading_hits",
@@ -136,11 +132,22 @@ class PassLinkCache:
         self.fading_normals: Dict[
             Tuple[str, str, str, int, int, int], Tuple[float, float]
         ] = {}
+        self.frame: OccluderFrame = ()
+        self.frame_t: Optional[float] = None
         self.geometry_hits = 0
         self.geometry_misses = 0
         self.fading_hits = 0
         self.fading_misses = 0
         self.short_circuits = 0
+
+    def occluders_at(
+        self, carriers: Sequence["CarrierGroup"], t: float
+    ) -> "OccluderFrame":
+        """The occluder frame at ``t``, built once per inventory round."""
+        if t != self.frame_t:
+            self.frame = occluder_frame(carriers, t)
+            self.frame_t = t
+        return self.frame
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot (plain dict, safe to pickle/serialise)."""
@@ -191,8 +198,27 @@ class CarrierGroup:
     def tag_world_position(self, tag: Tag, t: float) -> Vec3:
         return self.motion.position_at(t) + tag.local_position
 
-    def occluder_world_centre(self, occluder: Occluder, t: float) -> Vec3:
-        return self.motion.position_at(t) + occluder.centre
+
+#: Occluder world centres at one instant: ``(x, y, z, radius², centre,
+#: occluder)`` per occluder, in carrier then occluder order.
+OccluderFrame = Tuple[Tuple[float, float, float, float, Vec3, Occluder], ...]
+
+
+def occluder_frame(carriers: Sequence[CarrierGroup], t: float) -> OccluderFrame:
+    """Every carrier's occluder world centres at ``t``, as plain floats.
+
+    A centre depends only on ``t``, so one frame serves every tag of an
+    inventory round. Carriers without occluders are never moved.
+    """
+    frame = []
+    for carrier in carriers:
+        if carrier.occluders:
+            origin = carrier.motion.position_at(t)
+            for occluder in carrier.occluders:
+                c = origin + occluder.centre
+                r = occluder.radius_m
+                frame.append((c.x, c.y, c.z, r * r, c, occluder))
+    return tuple(frame)
 
 
 @dataclass(frozen=True)
@@ -266,6 +292,9 @@ class PassResult:
     #: through pickling, which is how parallel workers ship their
     #: observations back to the parent with the results.
     obs: Optional[PassObservation] = None
+    #: :meth:`PassLinkCache.stats` counters of the pass; ``None`` for a
+    #: pass that ran without a link cache. Rides back from workers too.
+    cache_stats: Optional[Dict[str, int]] = None
 
     @property
     def read_epcs(self) -> Set[str]:
@@ -296,9 +325,6 @@ class PortalPassSimulator:
         #: site down to a single identity test — no records, no
         #: allocation, bit-identical results.
         self.recorder = recorder
-        #: :class:`PassLinkCache` counter snapshot from the most recent
-        #: :meth:`run_pass`; ``None`` before the first pass.
-        self._last_cache_stats: Optional[Dict[str, int]] = None
 
     # -- physics ---------------------------------------------------------
 
@@ -308,40 +334,54 @@ class PortalPassSimulator:
         antenna_pos: Vec3,
         tag_pos: Vec3,
         t: float,
+        frame: Optional[OccluderFrame] = None,
     ) -> Tuple[float, bool]:
         """Total through-material loss on the antenna->tag path, capped.
 
         Returns (loss_db, reflector_behind): the second element reports
         whether a reflective occluder sits behind the tag (for the body
-        reflection bonus).
+        reflection bonus). ``frame`` is :func:`occluder_frame` at ``t``,
+        built here when not given.
         """
-        total = 0.0
-        reflector_behind = False
-        ray_dir = tag_pos - antenna_pos
-        ray_len = ray_dir.norm()
+        if frame is None:
+            frame = occluder_frame(carriers, t)
+        ax, ay, az = antenna_pos.x, antenna_pos.y, antenna_pos.z
+        dx = tag_pos.x - ax
+        dy = tag_pos.y - ay
+        dz = tag_pos.z - az
+        ray_len = math.sqrt(dx * dx + dy * dy + dz * dz)
         if ray_len < 1e-9:
             return 0.0, False
-        ray_unit = ray_dir / ray_len
-        for carrier in carriers:
-            for occluder in carrier.occluders:
-                centre = carrier.occluder_world_centre(occluder, t)
+        ux = dx / ray_len
+        uy = dy / ray_len
+        uz = dz / ray_len
+        total = 0.0
+        reflector_behind = False
+        for cx, cy, cz, radius_sq, centre, occluder in frame:
+            # The discriminant of segment_sphere_chord_length, operation
+            # for operation: where it is <= 0 that chord is exactly 0.0.
+            ox = ax - cx
+            oy = ay - cy
+            oz = az - cz
+            b = ox * ux + oy * uy + oz * uz
+            if b * b - ((ox * ox + oy * oy + oz * oz) - radius_sq) > 0.0:
                 chord = segment_sphere_chord_length(
                     antenna_pos, tag_pos, centre, occluder.radius_m
                 )
                 if chord > 0.0:
                     total += occluder.material.through_loss_db(chord)
-                elif occluder.reflective:
-                    # Is the occluder behind the tag along the ray?
-                    along = (centre - antenna_pos).dot(ray_unit)
-                    lateral = (
-                        (centre - antenna_pos) - ray_unit * along
-                    ).norm()
-                    behind_by = along - ray_len
-                    if (
-                        0.0 < behind_by <= self.params.reflection_range_m
-                        and lateral <= occluder.radius_m + 0.3
-                    ):
-                        reflector_behind = True
+                    continue
+            if occluder.reflective:
+                # Is the occluder behind the tag along the ray?
+                ray_unit = Vec3(ux, uy, uz)
+                along = (centre - antenna_pos).dot(ray_unit)
+                lateral = ((centre - antenna_pos) - ray_unit * along).norm()
+                behind_by = along - ray_len
+                if (
+                    0.0 < behind_by <= self.params.reflection_range_m
+                    and lateral <= occluder.radius_m + 0.3
+                ):
+                    reflector_behind = True
         return min(total, self.params.obstruction_cap_db), reflector_behind
 
     def _coupling_db(
@@ -400,7 +440,7 @@ class PortalPassSimulator:
         if entry is None:
             cache.geometry_misses += 1
             obstruction_db, reflector = self._obstruction_db(
-                carriers, antenna.position, tag_pos, t
+                carriers, antenna.position, tag_pos, t, cache.occluders_at(carriers, t)
             )
             geometry = LinkGeometry(
                 antenna_position=antenna.position,
@@ -440,9 +480,7 @@ class PortalPassSimulator:
         else:
             cell = self.params.fading_coherence_m
             bins = (
-                int(tag_pos.x // cell),
-                int(tag_pos.y // cell),
-                int(tag_pos.z // cell),
+                int(tag_pos.x // cell), int(tag_pos.y // cell), int(tag_pos.z // cell)
             )
             fading_key = (reader.reader_id, antenna.antenna_id, tag.epc) + bins
             normals = cache.fading_normals.get(fading_key)
@@ -477,20 +515,9 @@ class PortalPassSimulator:
         if rec is not None:
             rec.link(
                 self._link_record(
-                    terms,
-                    tag,
-                    antenna,
-                    reader,
-                    t,
-                    trial,
-                    gain_bonus,
-                    shadowing_db,
-                    obstruction_db,
-                    detuning_db,
-                    coupling_db,
-                    fault_loss_db,
-                    interference_dbm,
-                    fading_db=fading_db,
+                    terms, tag, antenna, reader, t, trial, gain_bonus,
+                    shadowing_db, obstruction_db, detuning_db, coupling_db,
+                    fault_loss_db, interference_dbm, fading_db=fading_db,
                     result=result,
                 ),
                 no_fade_margin_db=no_fade_margin_db,
@@ -541,18 +568,10 @@ class PortalPassSimulator:
             fault_loss_db=fault_loss_db,
             fading_db=fading_db,
             interference_dbm=interference_dbm,
-            forward_power_dbm=(
-                result.forward_power_dbm if result is not None else None
-            ),
-            forward_margin_db=(
-                result.forward_margin_db if result is not None else None
-            ),
-            reverse_power_dbm=(
-                result.reverse_power_dbm if result is not None else None
-            ),
-            reverse_margin_db=(
-                result.reverse_margin_db if result is not None else None
-            ),
+            forward_power_dbm=None if result is None else result.forward_power_dbm,
+            forward_margin_db=None if result is None else result.forward_margin_db,
+            reverse_power_dbm=None if result is None else result.reverse_power_dbm,
+            reverse_margin_db=None if result is None else result.reverse_margin_db,
             energized=result.activated if result is not None else False,
             short_circuited=result is None,
         )
@@ -664,24 +683,12 @@ class PortalPassSimulator:
         reader_traces: List[List[TagReadEvent]] = []
         for reader in self.portal.readers:
             events, rounds = self._run_reader_timeline(
-                reader,
-                carriers,
-                epc_index,
-                population,
-                coupling_db,
-                detuning_db,
-                shadowing,
-                seeds,
-                trial,
-                duration,
-                interference_rng,
-                fault_plan,
-                cache,
-                rec,
+                reader, carriers, epc_index, population, coupling_db,
+                detuning_db, shadowing, seeds, trial, duration,
+                interference_rng, fault_plan, cache, rec,
             )
             reader_traces.append(events)
             total_rounds += rounds
-        self._last_cache_stats = cache.stats()
 
         merged = sorted(
             (e for events in reader_traces for e in events), key=lambda e: e.time
@@ -716,6 +723,7 @@ class PortalPassSimulator:
             rounds=total_rounds,
             coverage=coverage,
             obs=observation,
+            cache_stats=cache.stats(),
         )
 
     def _run_reader_timeline(
@@ -844,21 +852,10 @@ class PortalPassSimulator:
             def channel(epc: str) -> TagChannel:
                 carrier, tag = epc_index[epc]
                 result = self._evaluate_tag(
-                    cache,
-                    carriers,
-                    carrier,
-                    tag,
-                    antenna,
-                    reader,
-                    t,
-                    shadowing[(epc, antenna.antenna_id)],
-                    detuning_db[epc],
-                    coupling_db[epc],
-                    interference,
-                    fault_loss_db,
-                    seeds,
-                    trial,
-                    rec,
+                    cache, carriers, carrier, tag, antenna, reader, t,
+                    shadowing[(epc, antenna.antenna_id)], detuning_db[epc],
+                    coupling_db[epc], interference, fault_loss_db, seeds,
+                    trial, rec,
                 )
                 if result is None:
                     # Forward link provably cannot close this round; an

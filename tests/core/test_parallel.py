@@ -5,6 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.core.calibration import PaperSetup
 from repro.core.experiment import run_trials, sweep
 from repro.core.parallel import (
     REPRO_WORKERS_ENV,
@@ -15,6 +16,9 @@ from repro.core.parallel import (
     task_is_picklable,
 )
 from repro.sim.rng import SeedSequence
+from repro.world.portal import single_antenna_portal
+from repro.world.scenarios.human_tracking import build_walk
+from repro.world.simulation import PortalPassSimulator
 
 
 class SquareTask:
@@ -97,6 +101,21 @@ class TestParallelExecution:
         seeds = SeedSequence(7)
         expected = [task(seeds, i) for i in range(5)]
         assert execute_timed_trials(task, 5, 7, workers=2)[0] == expected
+
+    def test_pass_cache_counters_come_back_from_workers(self):
+        # Each PassResult carries its own pass's link-cache counters,
+        # so the process pool reports what the serial loop reports.
+        carrier, _ = build_walk(1, ["front"])
+        setup = PaperSetup()
+        sim = PortalPassSimulator(
+            portal=single_antenna_portal(), env=setup.env, params=setup.params
+        )
+        task = PassTrialTask(simulator=sim, carriers=(carrier,))
+        serial = run_trials("walk", task, 4, seed=3, workers=1)
+        parallel = run_trials("walk", task, 4, seed=3, workers=2)
+        expected = [o.cache_stats for o in serial.outcomes]
+        assert all(stats["geometry_misses"] > 0 for stats in expected)
+        assert [o.cache_stats for o in parallel.outcomes] == expected
 
     def test_one_nonnegative_time_per_trial(self):
         outcomes, seconds = execute_timed_trials(SquareTask(), 5, 7, workers=2)

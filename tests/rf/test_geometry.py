@@ -9,9 +9,6 @@ from repro.rf.geometry import (
     Pose,
     Rotation,
     Vec3,
-    centroid,
-    pairwise_distances,
-    segment_intersects_sphere,
     segment_sphere_chord_length,
 )
 
@@ -19,6 +16,22 @@ finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 vectors = st.builds(Vec3, finite, finite, finite)
 nonzero_vectors = vectors.filter(lambda v: v.norm() > 1e-3)
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+def segment_intersects_sphere(start, end, centre, radius):
+    """Closest-point reference: does the segment pass within ``radius``?
+
+    Independent of the chord's ray-sphere quadratic, so it checks that a
+    positive chord means a real intersection.
+    """
+    seg = end - start
+    seg_len2 = seg.dot(seg)
+    if seg_len2 < 1e-24:
+        return start.distance_to(centre) <= radius
+    t = (centre - start).dot(seg) / seg_len2
+    t = max(0.0, min(1.0, t))
+    closest = start + seg * t
+    return closest.distance_to(centre) <= radius
 
 
 class TestVec3:
@@ -215,20 +228,3 @@ class TestOcclusion:
         if chord > 1e-9:
             assert hits
 
-
-class TestHelpers:
-    def test_centroid(self):
-        c = centroid([Vec3(0, 0, 0), Vec3(2, 0, 0), Vec3(1, 3, 0)])
-        assert c.is_close(Vec3(1, 1, 0))
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
-    def test_pairwise_distances_count(self):
-        pts = [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)]
-        assert len(list(pairwise_distances(pts))) == 6
-
-    def test_pairwise_distances_values(self):
-        pts = [Vec3(0, 0, 0), Vec3(3, 4, 0)]
-        assert list(pairwise_distances(pts)) == [pytest.approx(5.0)]

@@ -147,9 +147,9 @@ def _run(portal, carriers, trials=2, fault_plan=None):
     sim = _sim(portal)
     seeds = SeedSequence(20070625)
     for trial in range(trials):
-        sim.run_pass(carriers, seeds, trial, fault_plan=fault_plan)
-    assert sim._last_cache_stats is not None
-    return sim._last_cache_stats
+        result = sim.run_pass(carriers, seeds, trial, fault_plan=fault_plan)
+    assert result.cache_stats is not None
+    return result.cache_stats
 
 
 class TestEveryEvaluationMatchesScalarReference:
@@ -227,6 +227,14 @@ class TestCacheObject:
         }
         assert all(v == 0 for v in stats.values())
 
-    def test_stats_absent_before_first_pass(self):
-        sim = PortalPassSimulator(portal=single_antenna_portal())
-        assert sim._last_cache_stats is None
+    def test_counters_ride_on_each_pass_result(self):
+        # Each pass reports its own counters, not a running total, and
+        # the simulator keeps no copy of them.
+        carrier = build_tag_plane(3.0)
+        sim = _sim(single_antenna_portal())
+        seeds = SeedSequence(20070625)
+        first = sim.run_pass([carrier], seeds, 0).cache_stats
+        sim.run_pass([carrier], seeds, 1)
+        assert sim.run_pass([carrier], seeds, 0).cache_stats == first
+        assert first["geometry_misses"] > 0
+        assert not hasattr(sim, "_last_cache_stats")
